@@ -16,23 +16,24 @@ hand-edited field is detected before a single value reaches a component's
 :class:`~repro.errors.CheckpointError` — retryable, because the caller's
 correct reaction is to fall back to an older checkpoint or to cycle 0.
 
-Writes are crash-safe: the document goes to a temp file which is fsynced
-and then :func:`os.replace`'d over the target, after rotating the
-previous file to ``<path>.prev`` — a kill mid-write can never destroy the
-last good checkpoint.  The ``checkpoint.corrupt`` / ``checkpoint.truncated``
-fault sites (see :mod:`repro.faults`) deliberately damage the rendered
-document *before* it hits the disk, exercising exactly the rejection path
-a real torn write would take.
+Writes are crash-safe: the previous file is rotated to ``<path>.prev``
+and the new document is then written with
+:func:`repro.durable.atomic_write` — a kill at any point leaves
+``<path>`` or ``<path>.prev`` intact, never neither.  The
+``checkpoint.corrupt`` / ``checkpoint.truncated`` fault sites (see
+:mod:`repro.faults`) deliberately damage the rendered document *before*
+it hits the disk, exercising exactly the rejection path a real torn
+write would take.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import zlib
 from typing import Any, Dict, Optional, Tuple
 
 from .. import __version__
+from ..durable import atomic_write, crc
 from ..errors import CheckpointError
 from ..obs import runtime as _obs
 from .codec import decode_value, encode_value
@@ -46,20 +47,12 @@ MAGIC = "repro-checkpoint"
 PREV_SUFFIX = ".prev"
 
 
-def _canonical(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def render_checkpoint(body: Dict, meta: Optional[Dict] = None) -> str:
     """Serialise ``body`` (+ ``meta``) into the checkpoint document text."""
     inner = {"body": encode_value(body), "meta": dict(meta or {}),
              "version": __version__}
-    canonical = _canonical(inner)
-    document = {
-        "format": MAGIC,
-        "schema": SCHEMA_VERSION,
-        "crc32": zlib.crc32(canonical.encode("utf-8")),
-    }
+    document = {"format": MAGIC, "schema": SCHEMA_VERSION,
+                "crc32": crc(inner)}
     document.update(inner)
     return json.dumps(document, sort_keys=True)
 
@@ -91,11 +84,11 @@ def parse_checkpoint(text: str, source: str = "<memory>"
     # including the informational version string, is detected
     inner = {"body": document["body"], "meta": document.get("meta", {}),
              "version": document.get("version")}
-    crc = zlib.crc32(_canonical(inner).encode("utf-8"))
-    if crc != document["crc32"]:
+    computed = crc(inner)
+    if computed != document["crc32"]:
         raise CheckpointError(
             f"checkpoint {source} failed its CRC check "
-            f"(stored {document['crc32']}, computed {crc}) — corrupt")
+            f"(stored {document['crc32']}, computed {computed}) — corrupt")
     return decode_value(inner["body"]), inner["meta"]
 
 
@@ -128,17 +121,10 @@ def save_checkpoint(path: str, body: Dict,
     """
     text = render_checkpoint(body, meta)
     text, damaged_by = _fault_damage(text)
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        handle.write(text)
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     if os.path.exists(path):
         os.replace(path, path + PREV_SUFFIX)
-    os.replace(tmp, path)
+    atomic_write(path, text + "\n")
     tel = _obs._active
     if tel is not None:
         tel.checkpoint_written(path, len(text) + 1,
@@ -158,7 +144,7 @@ def load_checkpoint(path: str) -> Tuple[Dict, Dict]:
     try:
         with open(path, "r") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:     # ValueError: not UTF-8
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}")
     return parse_checkpoint(text, source=path)
 

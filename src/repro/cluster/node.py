@@ -33,10 +33,11 @@ import os
 import time
 from typing import Callable, Dict, List, Optional
 
+from ..durable import write_record
 from ..errors import (CampaignPreempted, DeadlineExceeded, StaleLeaseError)
 from ..fleet.cache import ResultCache
 from ..fleet.spec import CampaignJob
-from ..fleet.store import ResultStore, seal_record
+from ..fleet.store import ResultStore
 from ..fleet.worker import checkpoint_path, execute_job
 from ..obs import runtime as _obs
 from ..resilience.breaker import CircuitBreaker
@@ -45,7 +46,7 @@ from .coordinator import (CACHE_DIR, CHECKPOINT_DIR, CLUSTER_JOURNAL_NAME,
                           NODE_DIR, cluster_status, finalize, is_done,
                           is_final, load_batch, load_manifest, load_plan,
                           mark_done, publish_plan, stop_requested)
-from .lease import Lease, LeaseManager, _atomic_write
+from .lease import Lease, LeaseManager
 
 #: lease resources that are not job batches
 COORDINATOR_RESOURCE = "coordinator"
@@ -97,16 +98,14 @@ class ClusterNode:
         """Publish this node's liveness record (``nodes/<id>.json``)."""
         node_dir = os.path.join(self.cluster_dir, NODE_DIR)
         os.makedirs(node_dir, exist_ok=True)
-        _atomic_write(
-            os.path.join(node_dir, self.node_id + ".json"),
-            seal_record({
-                "kind": "node", "node": self.node_id, "pid": os.getpid(),
-                "ttl_s": self.leases.ttl_s, "state": state,
-                "updated_at": self.clock(),
-                "jobs_done": self.jobs_done,
-                "batches_done": self.batches_done,
-                "migrations": self.migrations,
-            }) + "\n")
+        write_record(os.path.join(node_dir, self.node_id + ".json"), {
+            "kind": "node", "node": self.node_id, "pid": os.getpid(),
+            "ttl_s": self.leases.ttl_s, "state": state,
+            "updated_at": self.clock(),
+            "jobs_done": self.jobs_done,
+            "batches_done": self.batches_done,
+            "migrations": self.migrations,
+        })
         tel = _obs._active
         if tel is not None:
             tel.registry.get("repro_cluster_heartbeat_age_seconds") \

@@ -9,11 +9,10 @@ actually changed; everything else is a hit.
 The cache is safe to share between *processes and nodes* (it is the
 multi-node fleet's dedupe layer):
 
-* writes go to a temp file in the same directory, are flushed and
-  fsynced, then atomically renamed into place — concurrent writers of
-  the same digest race harmlessly (last rename wins, both wrote the
-  same bytes) and a killed writer can never leave a half-written entry
-  under the final name;
+* writes go through :func:`repro.durable.atomic_write` — concurrent
+  writers of the same digest race harmlessly (last rename wins, both
+  wrote the same bytes) and a killed writer can never leave a
+  half-written entry under the final name;
 * every entry carries a CRC-32 over the canonical serialisation of its
   payload, re-verified on :meth:`lookup` together with the entry's
   digest field, so a bit-flipped or foreign entry is **quarantined**
@@ -25,13 +24,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import warnings
-import zlib
 from typing import Dict, Optional
 
+from ..durable import atomic_write, canonical_json, crc
 from ..obs import runtime as _obs
-from .spec import CampaignJob, canonical_json
+from .spec import CampaignJob
 
 #: a damaged entry is preserved under this suffix, never served again
 QUARANTINE_SUFFIX = ".quarantine"
@@ -40,9 +38,8 @@ QUARANTINE_SUFFIX = ".quarantine"
 PAYLOAD_CRC_FIELD = "payload_crc32"
 
 
-def payload_crc(payload: Dict) -> int:
-    """CRC-32 over the canonical JSON of a job payload."""
-    return zlib.crc32(canonical_json(payload).encode("utf-8"))
+#: CRC-32 over the canonical JSON of a job payload
+payload_crc = crc
 
 
 class ResultCache:
@@ -87,7 +84,7 @@ class ResultCache:
         except FileNotFoundError:
             self._note("miss", job)
             return None
-        except (json.JSONDecodeError, OSError):
+        except (ValueError, OSError):
             # unreadable entry: quarantine it and treat as a miss
             self._quarantine(path, "not parseable as JSON")
             self._note("miss", job)
@@ -105,7 +102,7 @@ class ResultCache:
             self._note("miss", job)
             return None
         stored_crc = entry.get(PAYLOAD_CRC_FIELD)
-        if stored_crc is not None and stored_crc != payload_crc(payload):
+        if stored_crc is not None and stored_crc != crc(payload):
             self._quarantine(path, "payload failed its CRC check")
             self._note("miss", job)
             return None
@@ -124,31 +121,19 @@ class ResultCache:
     def store(self, job: CampaignJob, payload: Dict) -> str:
         """Persist a job payload atomically; returns the entry path.
 
-        Write-to-temp, fsync, rename: concurrent multi-node writers of
-        the same digest each land a complete entry (payloads are
-        deterministic, so whichever rename wins the bytes are the same),
-        and a reader can never observe a torn entry under the final
-        name.  The fsync matters on the shared directory: a node may
-        crash right after another node's lookup decision depended on
-        this entry existing.
+        Concurrent multi-node writers of the same digest each land a
+        complete entry (payloads are deterministic, so whichever rename
+        wins the bytes are the same).  The fsync matters on the shared
+        directory: a node may crash right after another node's lookup
+        decision depended on this entry existing.
         """
         path = self._path(job.digest)
-        entry = canonical_json({
+        atomic_write(path, canonical_json({
             "digest": job.digest,
             "job": job.to_dict(),
             "payload": payload,
-            PAYLOAD_CRC_FIELD: payload_crc(payload),
-        })
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(entry)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+            PAYLOAD_CRC_FIELD: crc(payload),
+        }))
         return path
 
     def __len__(self) -> int:

@@ -2,14 +2,13 @@
 
 One line per completed job record, appended as jobs finish so a killed
 campaign leaves a valid prefix behind — that prefix is exactly what
-``--resume`` replays.  Appends are durable (flushed and fsynced before
-``append`` returns) and every line carries a ``_crc32`` field computed
-over the canonical serialisation of the rest of the record, so a torn
-tail from a SIGKILL *and* a bit-flipped line from a bad disk are both
-detected on load.  Damaged lines are quarantined to
-``campaign.jsonl.quarantine`` with a warning — never silently dropped,
-and never allowed to raise: every intact record after a damaged one is
-still recovered.
+``--resume`` replays.  The file is a :class:`repro.durable.SealedLog`:
+appends are locked, flushed and fsynced, and every line carries a
+``_crc32`` seal, so a torn tail from a SIGKILL *and* a bit-flipped line
+from a bad disk are both detected on load.  Damaged lines are
+quarantined to ``campaign.jsonl.quarantine`` with a warning — never
+silently dropped, and never allowed to raise: every intact record after
+a damaged one is still recovered.
 
 The store is safe to *tail while a writer appends*: :meth:`ResultStore.
 tail` consumes only newline-terminated lines, so a reader polling a live
@@ -25,65 +24,19 @@ crash/resume cycles (see docs/checkpoint.md).
 
 from __future__ import annotations
 
-import json
 import os
 import warnings
-import zlib
-from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-try:                                   # POSIX advisory file locking
-    import fcntl
-except ImportError:                    # pragma: no cover - non-POSIX host
-    fcntl = None
-
-from .spec import canonical_json
+from .. import durable
+# the line format lives in repro.durable; re-exported for existing callers
+from ..durable import seal_record, unseal_record  # noqa: F401
 
 STORE_NAME = "campaign.jsonl"
 AGGREGATE_NAME = "aggregate.json"
 
-#: per-record checksum field; stripped again on load
-CRC_FIELD = "_crc32"
-
 #: damaged lines are preserved here, one per line, for post-mortems
 QUARANTINE_SUFFIX = ".quarantine"
-
-#: advisory inter-process lock guarding appends (and fenced commits)
-LOCK_SUFFIX = ".lock"
-
-
-def seal_record(record: Dict) -> str:
-    """Render one record line with its ``_crc32`` over the canonical rest.
-
-    Public: the resilience admission journal shares this exact line
-    format, so one pair of seal/unseal functions guards both logs.
-    """
-    body = {key: value for key, value in record.items() if key != CRC_FIELD}
-    crc = zlib.crc32(canonical_json(body).encode("utf-8"))
-    sealed = dict(body)
-    sealed[CRC_FIELD] = crc
-    return json.dumps(sealed, sort_keys=True)
-
-
-def unseal_record(line: str) -> Dict:
-    """Parse and verify one record line; raises ``ValueError`` if damaged."""
-    record = json.loads(line)          # may raise JSONDecodeError
-    if not isinstance(record, dict):
-        raise ValueError("record line is not a JSON object")
-    if CRC_FIELD in record:
-        stored = record.pop(CRC_FIELD)
-        crc = zlib.crc32(canonical_json(record).encode("utf-8"))
-        if crc != stored:
-            raise ValueError(
-                f"record failed its CRC check (stored {stored}, "
-                f"computed {crc})")
-    # records written before checksums were introduced load unchanged
-    return record
-
-
-# internal aliases kept for the store's own call sites
-_seal = seal_record
-_unseal = unseal_record
 
 
 class ResultStore:
@@ -95,68 +48,36 @@ class ResultStore:
         self.path = os.path.join(directory, STORE_NAME)
         self.aggregate_path = os.path.join(directory, AGGREGATE_NAME)
         self.quarantine_path = self.path + QUARANTINE_SUFFIX
-        self.lock_path = self.path + LOCK_SUFFIX
+        self.log = durable.SealedLog(self.path)
 
-    @contextmanager
     def lock(self):
         """Advisory inter-process lock on the store (``flock``).
 
         Held around every :meth:`append`, so two writer *processes* (the
         multi-node cluster's whole premise) can never interleave a torn
-        line.  The lock lives in a sidecar file — never the JSONL itself,
-        whose atomic :meth:`rewrite` would otherwise swap the inode out
-        from under a waiting locker.  A SIGKILLed holder releases the
-        lock automatically (the kernel drops ``flock`` locks on close).
-        Callers may also take it explicitly to make a read-then-append
-        sequence atomic against other writers — it is reentrant-unsafe,
-        so never nest it.
+        line.  Callers may also take it explicitly to make a
+        read-then-append sequence atomic against other writers — it is
+        reentrant-unsafe, so never nest it.
         """
-        if fcntl is None:              # pragma: no cover - non-POSIX host
-            yield
-            return
-        handle = open(self.lock_path, "a")
-        try:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            yield
-        finally:
-            try:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-            finally:
-                handle.close()
+        return durable.lock(self.log.lock_path)
 
     def append(self, record: Dict,
                fence: Optional[Callable[[], None]] = None) -> None:
         """Durably append one checksummed record line.
 
-        The line is flushed and fsynced before returning, so a record the
-        caller believes is stored survives an immediate process kill;
-        the worst a crash can leave is one torn final line, which
-        :meth:`load` detects and quarantines.  The whole append runs
-        under the store's inter-process :meth:`lock`, so concurrent
-        writer processes serialize instead of interleaving.
+        The line is fsynced before returning, so a record the caller
+        believes is stored survives an immediate process kill; the worst
+        a crash can leave is one torn final line, which :meth:`load`
+        detects.
 
         ``fence`` is the stale-claim guard for multi-node execution: a
-        callable invoked *inside* the lock, before any byte is written.
-        If it raises (``repro.errors.StaleLeaseError`` by convention),
-        nothing is appended — which is how a revived node that lost its
-        lease while paused is prevented from double-committing work that
-        has since migrated to another node.
+        callable invoked *inside* the store lock, before any byte is
+        written.  If it raises (``repro.errors.StaleLeaseError`` by
+        convention), nothing is appended — which is how a revived node
+        that lost its lease while paused is prevented from
+        double-committing work that has since migrated to another node.
         """
-        with self.lock():
-            if fence is not None:
-                fence()
-            with open(self.path, "a") as handle:
-                handle.write(_seal(record) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-
-    def _quarantine_line(self, line: str, reason: str) -> None:
-        warnings.warn(
-            f"result store {self.path}: skipping damaged record "
-            f"({reason}); preserved in {self.quarantine_path}",
-            RuntimeWarning, stacklevel=3)
-        with open(self.quarantine_path, "a") as handle:
-            handle.write(line + "\n")
+        self.log.append(record, fence)
 
     def load(self) -> List[Dict]:
         """Read back every intact record, quarantining damaged lines.
@@ -164,98 +85,50 @@ class ResultStore:
         A corrupt *complete* line (newline-terminated but failing its CRC
         or JSON parse) is quarantined: warn, copy the raw line to the
         quarantine file, keep scanning — records after the damage are not
-        lost.  An *unterminated* final fragment is different: it is either
-        an append in flight on a live writer or a torn tail from a kill
-        mid-append, and in both cases the writer may still complete it —
-        so it is skipped with a warning, never quarantined, and left in
-        the file for the next reader.  (Before this distinction existed,
-        any reader polling a live store would "quarantine" every append
-        it happened to race — the concurrent-tailer bug.)
+        lost.  An *unterminated* final fragment is either an append in
+        flight on a live writer or a torn tail from a kill mid-append,
+        and in both cases the writer may still complete it — so it is
+        skipped with a warning, never quarantined, and left in the file
+        for the next reader.
         """
-        records: List[Dict] = []
-        try:
-            with open(self.path, "r") as handle:
-                content = handle.read()
-        except FileNotFoundError:
-            return records
-        complete, sep, partial = content.rpartition("\n")
-        if partial.strip():
+        records, damaged, _, torn = self.log.read()
+        if torn:
             warnings.warn(
                 f"result store {self.path}: ignoring an unterminated "
-                f"partial tail line ({len(partial)} bytes) — either an "
+                f"partial tail line ({torn} bytes) — either an "
                 f"append in flight or a torn tail from a kill",
                 RuntimeWarning, stacklevel=2)
-        if sep:
-            for line in complete.split("\n"):
-                if not line.strip():
-                    continue
-                try:
-                    records.append(_unseal(line))
-                except (json.JSONDecodeError, ValueError) as exc:
-                    self._quarantine_line(line, str(exc))
+        for line, reason in damaged:
+            warnings.warn(
+                f"result store {self.path}: skipping damaged record "
+                f"({reason}); preserved in {self.quarantine_path}",
+                RuntimeWarning, stacklevel=2)
+            with open(self.quarantine_path, "a") as handle:
+                handle.write(line + "\n")
         return records
 
     def tail(self, offset: int = 0) -> Tuple[List[Dict], int]:
         """Incrementally read records appended at or after byte ``offset``.
 
         The concurrent-tailer API: safe to call while a writer is
-        appending.  Only newline-terminated lines are consumed, so a
-        partially-written last line is *not* misread as damage — it is
-        simply not consumed, and the next poll (with the returned offset)
-        picks it up once the writer finishes it.  Damaged complete lines
-        are skipped with a warning but never quarantined: a tailer is a
-        read-only observer and must not race the writer (or other
+        appending; see :meth:`repro.durable.SealedLog.read` for the
+        partial-line and rewritten-underneath rules.  Damaged complete
+        lines are skipped with a warning but never quarantined: a tailer
+        is a read-only observer and must not race the writer (or other
         tailers) for the quarantine file.
 
-        Returns ``(records, next_offset)``.  If an atomic :meth:`rewrite`
-        happened underneath — the file shrank below ``offset``, or
-        ``offset`` no longer sits on a record boundary (the byte before
-        it is not a newline) — the tailer holds its position and returns
-        no records rather than replaying lines it already delivered or
-        misreading mid-line bytes as damage.
+        Returns ``(records, next_offset)``.
         """
-        if offset < 0:
-            offset = 0
-        try:
-            with open(self.path, "rb") as handle:
-                handle.seek(0, os.SEEK_END)
-                size = handle.tell()
-                if size <= offset:
-                    return [], offset
-                if offset > 0:
-                    handle.seek(offset - 1)
-                    if handle.read(1) != b"\n":
-                        return [], offset
-                else:
-                    handle.seek(offset)
-                chunk = handle.read(size - offset)
-        except FileNotFoundError:
-            return [], offset
-        complete, sep, _partial = chunk.rpartition(b"\n")
-        if not sep:
-            return [], offset
-        records: List[Dict] = []
-        for raw in complete.split(b"\n"):
-            line = raw.decode("utf-8", "replace")
-            if not line.strip():
-                continue
-            try:
-                records.append(_unseal(line))
-            except (json.JSONDecodeError, ValueError) as exc:
-                warnings.warn(
-                    f"result store {self.path}: tail skipped a damaged "
-                    f"record ({exc})", RuntimeWarning, stacklevel=2)
-        return records, offset + len(complete) + len(sep)
+        records, damaged, next_offset, _ = self.log.read(offset)
+        for _line, reason in damaged:
+            warnings.warn(
+                f"result store {self.path}: tail skipped a damaged "
+                f"record ({reason})", RuntimeWarning, stacklevel=2)
+        return records, next_offset
 
     def rewrite(self, records: Iterable[Dict]) -> None:
         """Atomically replace the log with ``records`` (caller-sorted)."""
-        tmp = self.path + ".tmp"
-        with open(tmp, "w") as handle:
-            for record in records:
-                handle.write(_seal(record) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
+        self.log.rewrite(records)
 
     def clear(self) -> None:
         try:
@@ -285,10 +158,6 @@ class ResultStore:
             "quarantined": sorted(
                 record["job_id"] for record in quarantined),
         }
-        tmp = self.aggregate_path + ".tmp"
-        with open(tmp, "w") as handle:
-            handle.write(canonical_json(body))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.aggregate_path)
+        durable.atomic_write(self.aggregate_path,
+                             durable.canonical_json(body))
         return self.aggregate_path

@@ -7,13 +7,13 @@ its tenant accounting, and its id sequence by replaying the file —
 closing the loop with the per-job checkpoints (docs/checkpoint.md) that
 were already surviving crashes but sitting on disk unclaimed.
 
-The format is the :mod:`repro.fleet.store` line format exactly: one
-JSON object per line, each carrying a ``_crc32`` over the canonical
-serialisation of the rest (:func:`~repro.fleet.store.seal_record`), so
-a torn tail from a SIGKILL mid-append and a bit-flipped line from a bad
-disk are both detected on replay.  Appends are flushed and fsynced
-before returning — the write-ahead property is only real if the line is
-durable before the in-memory state machine moves.
+The file is a :class:`repro.durable.SealedLog`, the result store's
+format exactly: one JSON object per line, each sealed with a ``_crc32``
+(:func:`repro.durable.seal_record`), so a torn tail from a SIGKILL
+mid-append and a bit-flipped line from a bad disk are both detected on
+replay.  Appends are locked, flushed and fsynced before returning — the
+write-ahead property is only real if the line is durable before the
+in-memory state machine moves.
 
 Record kinds::
 
@@ -29,14 +29,13 @@ the id-sequence high-water mark.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..fleet.store import seal_record, unseal_record
+from ..durable import SealedLog
 
 JOURNAL_NAME = "journal.jsonl"
 
@@ -47,25 +46,24 @@ _CAMPAIGN_ID = re.compile(r"^cmp-(\d+)$")
 class AdmissionJournal:
     """Append-only, CRC-guarded JSONL journal with atomic compaction.
 
+    A thin policy layer over :class:`repro.durable.SealedLog`, which
+    owns the line format, the locked appends and the atomic rewrite.
     ``name`` selects the file inside ``directory`` — the default is the
-    service admission journal; ``repro.cluster`` reuses the exact same
-    machinery (seal/unseal lines, torn-tail-tolerant replay, atomic
-    compaction) for its lease/claim event log under ``cluster.jsonl``.
+    service admission journal; ``repro.cluster`` reuses it for the
+    lease/claim event log that every node appends to, ``cluster.jsonl``.
     """
 
     def __init__(self, directory: str, name: str = JOURNAL_NAME) -> None:
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
         self.path = os.path.join(directory, name)
+        self.log = SealedLog(self.path)
 
     def append(self, op: str, **fields) -> Dict:
         """Durably append one journal record; returns the record."""
         record = {"op": op}
         record.update(fields)
-        with open(self.path, "a") as handle:
-            handle.write(seal_record(record) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        self.log.append(record)
         return record
 
     def admit(self, campaign_id: str, tenant: str, priority: int,
@@ -90,40 +88,21 @@ class AdmissionJournal:
         crash interrupted; its state transition never took effect, so
         skipping it is the correct replay semantics, not data loss.
         """
-        records: List[Dict] = []
-        try:
-            with open(self.path, "r") as handle:
-                content = handle.read()
-        except FileNotFoundError:
-            return records
-        complete, sep, partial = content.rpartition("\n")
-        if partial.strip():
+        records, damaged, _, torn = self.log.read()
+        if torn:
             warnings.warn(
                 f"admission journal {self.path}: ignoring a torn tail "
-                f"line ({len(partial)} bytes) from an interrupted append",
+                f"line ({torn} bytes) from an interrupted append",
                 RuntimeWarning, stacklevel=2)
-        if not sep:
-            return records
-        for line in complete.split("\n"):
-            if not line.strip():
-                continue
-            try:
-                records.append(unseal_record(line))
-            except (json.JSONDecodeError, ValueError) as exc:
-                warnings.warn(
-                    f"admission journal {self.path}: skipping a damaged "
-                    f"record ({exc})", RuntimeWarning, stacklevel=2)
+        for _line, reason in damaged:
+            warnings.warn(
+                f"admission journal {self.path}: skipping a damaged "
+                f"record ({reason})", RuntimeWarning, stacklevel=2)
         return records
 
     def rewrite(self, records: List[Dict]) -> None:
         """Atomically replace the journal (compaction after recovery)."""
-        tmp = self.path + ".tmp"
-        with open(tmp, "w") as handle:
-            for record in records:
-                handle.write(seal_record(record) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
+        self.log.rewrite(records)
 
 
 @dataclass

@@ -21,9 +21,10 @@ import json
 from typing import Dict
 
 from .. import __version__
+from ..durable import atomic_write, canonical_json
 from ..errors import FormatError
 from ..fleet.api import CampaignSpec
-from ..fleet.spec import FAULT_MODES, SCHEMA_VERSION, canonical_json
+from ..fleet.spec import FAULT_MODES, SCHEMA_VERSION
 
 #: bump when the catalog document layout changes
 CATALOG_SCHEMA = 1
@@ -88,10 +89,9 @@ def build_catalog() -> Dict:
 
 
 def write_catalog(path: str) -> str:
-    """Write the canonical-JSON catalog artifact; returns the path."""
-    with open(path, "w") as handle:
-        handle.write(canonical_json(build_catalog()))
-        handle.write("\n")
+    """Atomically write the canonical-JSON catalog artifact; returns the
+    path — a kill mid-write leaves the previous pinned catalog intact."""
+    atomic_write(path, canonical_json(build_catalog()) + "\n")
     return path
 
 

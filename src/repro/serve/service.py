@@ -612,7 +612,11 @@ class CampaignService:
                 await tailer
             except asyncio.CancelledError:
                 pass
-            self._drain_results(campaign)    # final, complete pass
+            # final, complete pass from byte 0: the runner's sorted
+            # rewrite may have moved records behind the tailer's offset
+            # (streamed_jobs drops the ones already sent)
+            campaign.tail_offset = 0
+            self._drain_results(campaign)
             self._running_campaigns.pop(campaign.campaign_id, None)
 
         if error is not None:

@@ -36,6 +36,7 @@ import struct
 import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..durable import canonical_json
 from ..errors import TraceStoreError
 
 MAGIC = b"RTRC0001"
@@ -55,11 +56,6 @@ PH_COMPLETE = 0      # "X": a finished span with a duration
 PH_INSTANT = 1       # "i": a point on the timeline
 PH_CODES = {"X": PH_COMPLETE, "i": PH_INSTANT}
 PH_CHARS = {code: char for char, code in PH_CODES.items()}
-
-
-def canonical_json(payload) -> str:
-    """Canonical (sorted, whitespace-free) JSON — the CRC input form."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 class StringTable:
@@ -116,7 +112,7 @@ def pack_block(rows: Sequence[Tuple]) -> Tuple[bytes, Dict]:
     entry = {
         "count": n,
         "length": len(body),
-        "crc32": zlib.crc32(body) & 0xFFFFFFFF,
+        "crc32": zlib.crc32(body),
         "ts_min": min(cols[0]),
         "ts_max": max(cols[0]),
         "names": sorted(set(cols[2])),
@@ -132,7 +128,7 @@ def unpack_block(data: bytes, entry: Dict,
         raise TraceStoreError(
             f"block truncated: expected {entry['length']} bytes, "
             f"got {len(data)}")
-    if (zlib.crc32(data) & 0xFFFFFFFF) != entry["crc32"]:
+    if zlib.crc32(data) != entry["crc32"]:
         raise TraceStoreError("block CRC mismatch: segment is damaged")
     n = entry["count"]
     offset = 0
@@ -158,7 +154,7 @@ def unpack_block(data: bytes, entry: Dict,
 def render_footer(footer: Dict) -> bytes:
     """Footer JSON plus the CRC-guarded fixed-size tail."""
     body = canonical_json(footer).encode("utf-8")
-    tail = TAIL_STRUCT.pack(len(body), zlib.crc32(body) & 0xFFFFFFFF)
+    tail = TAIL_STRUCT.pack(len(body), zlib.crc32(body))
     return body + tail + MAGIC
 
 
@@ -187,7 +183,7 @@ def read_footer(handle, file_size: int) -> Tuple[Dict, int]:
         raise TraceStoreError("footer length exceeds file size")
     handle.seek(footer_at)
     body = handle.read(footer_len)
-    if (zlib.crc32(body) & 0xFFFFFFFF) != footer_crc:
+    if zlib.crc32(body) != footer_crc:
         raise TraceStoreError("footer CRC mismatch: segment is damaged")
     try:
         footer = json.loads(body.decode("utf-8"))

@@ -19,13 +19,11 @@ from __future__ import annotations
 
 import heapq
 import json
-import os
-import zlib
 from bisect import bisect_left
 from typing import Dict, List, Optional
 
+from ..durable import atomic_write, canonical_json, crc
 from ..errors import TraceStoreError
-from .format import canonical_json
 
 SUMMARY_FORMAT = "repro-trace-summary"
 SUMMARY_SCHEMA = 1
@@ -188,20 +186,9 @@ def sidecar_path(segment_path: str) -> str:
 
 def write_summary(path: str, body: Dict) -> str:
     """Atomically write a CRC-sealed summary document."""
-    doc = {
-        "format": SUMMARY_FORMAT,
-        "schema": SUMMARY_SCHEMA,
-        "crc32": zlib.crc32(canonical_json(body).encode("utf-8"))
-        & 0xFFFFFFFF,
-        "body": body,
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        json.dump(doc, handle, sort_keys=True, separators=(",", ":"))
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    doc = {"format": SUMMARY_FORMAT, "schema": SUMMARY_SCHEMA,
+           "crc32": crc(body), "body": body}
+    atomic_write(path, canonical_json(doc) + "\n")
     return path
 
 
@@ -221,7 +208,6 @@ def load_summary(path: str) -> Dict:
         raise TraceStoreError(
             f"unsupported summary schema {doc.get('schema')!r}")
     body = doc.get("body")
-    crc = zlib.crc32(canonical_json(body).encode("utf-8")) & 0xFFFFFFFF
-    if crc != doc.get("crc32"):
+    if crc(body) != doc.get("crc32"):
         raise TraceStoreError("summary sidecar CRC mismatch")
     return body

@@ -8,11 +8,14 @@ run offline through ``repro.fleet.run_campaign``.
 
 import asyncio
 import json
+import threading
+import time
 
 import pytest
 
 from repro.errors import QuotaExceeded
 from repro.fleet import CampaignSpec, run_campaign
+from repro.fleet.orchestrator import CampaignReport
 from repro.serve import CampaignService, QuotaManager, TenantPolicy
 
 SMALL = {"count": 2, "cycles": 8_000, "seed": 9}
@@ -215,3 +218,51 @@ def test_weighted_tenant_gets_more_slots_over_time(tmp_path):
                          "heavy", "light"]
         await service.stop()
     run(main())
+
+
+def test_final_drain_streams_records_the_sorted_rewrite_moved(tmp_path):
+    """job-b is appended and streamed, then job-a is appended and the
+    runner's end-of-campaign rewrite sorts job-a in front of job-b — so
+    the tailer's offset no longer points past job-a.  The final drain
+    must still stream job-a, and every job's result exactly once."""
+    async def main():
+        service = CampaignService(root=str(tmp_path / "serve"),
+                                  quota=open_quota(), slots=1)
+        loop = asyncio.get_running_loop()
+
+        def run_out_of_order(campaign):
+            store = campaign.store
+            b = {"job_id": "job-b", "status": "ok", "digest": "b",
+                 "job": {}, "payload": {"ipc": 1}}
+            a = {"job_id": "job-a", "status": "ok", "digest": "a",
+                 "job": {}, "payload": {"ipc": 22}}
+            store.append(b)
+            while campaign.tail_offset == 0:     # until job-b is streamed
+                time.sleep(0.01)
+            rewritten = threading.Event()
+
+            def append_then_rewrite():
+                # on the loop thread, so no tailer poll lands in between
+                store.append(a)
+                store.rewrite([a, b])
+                rewritten.set()
+            loop.call_soon_threadsafe(append_then_rewrite)
+            assert rewritten.wait(30)
+            return CampaignReport(
+                records=[a, b], store_path=store.path,
+                aggregate_path=store.write_aggregate([a, b], []))
+
+        service._run_blocking = run_out_of_order
+        await service.start()
+        try:
+            campaign = service.submit("t1", dict(SMALL))
+            await wait_for(lambda: campaign.state == "completed")
+        finally:
+            await service.stop()
+        return campaign
+    campaign = run(main())
+    events, _ = campaign.buffer.since(0)
+    streamed = [json.loads(data)["job_id"] for _, name, data in events
+                if name == "job.result"]
+    assert sorted(streamed) == ["job-a", "job-b"]
+    assert campaign.results_streamed == 2
