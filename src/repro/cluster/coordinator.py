@@ -229,15 +229,13 @@ def finalize(cluster_dir: str, node: str) -> str:
     byte-identity artifact: ok records (deduped, sorted by job id) and
     quarantined ids, exactly what a single-node
     :class:`~repro.fleet.orchestrator.CampaignRunner` writes — which is
-    what the chaos drill byte-compares.
+    what the chaos drill byte-compares.  The shared store itself is
+    left as appended: in commit order, duplicates included.
     """
     store = ResultStore(cluster_dir)
     records = dedupe_records(store.load())
     ok = [r for r in records if r.get("status") == "ok"]
     quarantined = [r for r in records if r.get("status") == "quarantined"]
-    # the store itself is rewritten sorted + deduped, mirroring the
-    # single-node orchestrator's end-of-campaign rewrite
-    store.rewrite(records)
     aggregate = store.write_aggregate(ok, quarantined)
     write_record(final_path(cluster_dir),
                  {"kind": "final", "node": node, "ok": len(ok),

@@ -145,6 +145,18 @@ def read_record(path: str) -> Dict:
     return unseal_record(data.decode("utf-8", "replace").strip())
 
 
+def _cut_torn_tail(handle) -> None:
+    """Truncate ``handle``'s file after its last newline, if it has a tail."""
+    end = handle.seek(0, os.SEEK_END)
+    if end == 0:
+        return
+    handle.seek(end - 1)
+    if handle.read(1) == b"\n":
+        return
+    handle.seek(0)                     # rare: only after a killed writer
+    handle.truncate(handle.read().rfind(b"\n") + 1)
+
+
 class SealedLog:
     """Append-only JSONL file of sealed records.
 
@@ -165,12 +177,18 @@ class SealedLog:
 
         ``fence`` runs inside the lock before any byte is written; if it
         raises, nothing is appended.
+
+        An unterminated tail is cut back to the last newline first.
+        Every append holds the lock, so such a tail cannot be an append
+        in flight: it is what a killed writer left, and the new line
+        would otherwise merge into it and be lost with it.
         """
         with lock(self.lock_path):
             if fence is not None:
                 fence()
-            with open(self.path, "a") as handle:
-                handle.write(seal_record(record) + "\n")
+            with open(self.path, "a+b") as handle:
+                _cut_torn_tail(handle)
+                handle.write(seal_record(record).encode("utf-8") + b"\n")
                 handle.flush()
                 os.fsync(handle.fileno())
 
@@ -190,13 +208,15 @@ class SealedLog:
         unterminated last line.
 
         Only newline-terminated lines are consumed.  An unterminated
-        last line is an append in flight or a torn tail from a kill; the
-        writer may still finish it, so it is left for the next read and
-        only its length is reported.  If ``offset`` no longer sits on a
-        record boundary (the file was rewritten underneath: it shrank,
-        or the byte before ``offset`` is not a newline), nothing is read
-        and ``offset`` is returned unchanged, so a tailer neither
-        replays lines nor misreads mid-line bytes as damage.
+        last line is an append in flight, which its writer will finish,
+        or a torn tail from a kill, which the next :meth:`append` cuts;
+        either way it is left alone and only its length is reported.
+        Appends never move a consumed line, so an offset this method
+        returned stays valid.  An ``offset`` that does not sit on a
+        record boundary (the byte before it is not a newline, or the
+        file is shorter: a caller's guess, or a log that was cleared or
+        compacted by :meth:`rewrite`) reads nothing and is returned
+        unchanged, so a tailer never misreads mid-line bytes as damage.
         """
         offset = max(offset, 0)
         try:

@@ -276,11 +276,12 @@ class CampaignRunner:
 
     def _finish(self, job: CampaignJob, record: Dict,
                 records: Dict[str, Dict],
-                metrics: Optional[CampaignMetrics] = None) -> None:
+                metrics: Optional[CampaignMetrics] = None,
+                append: bool = True) -> None:
         records[job.job_id] = record
         if metrics is not None and record["status"] == "ok":
             metrics.note_payload(record["payload"])
-        if self.store is not None:
+        if append and self.store is not None:
             self.store.append(record)
         tel = _obs._active
         if tel is not None:
@@ -343,20 +344,24 @@ class CampaignRunner:
         records: Dict[str, Dict] = {}
         by_id = {job.job_id: job for job in self.jobs}
 
-        # resume: replay completed records from a previous (killed) run
-        prior = []
+        # resume: the completed records of a previous (killed or
+        # evicted) run stay where they are in the append-only store —
+        # they enter this report, never the store a second time
+        prior: List[Dict] = []
         if self.store is not None:
             if self.resume:
-                prior = [r for r in self.store.load()
-                         if r.get("status") == "ok"
-                         and r.get("job_id") in by_id]
-            self.store.clear()
+                prior = self.store.load()
+            else:
+                self.store.clear()
         for record in prior:
-            job = by_id[record["job_id"]]
+            job = by_id.get(record.get("job_id"))
+            if job is None or record.get("status") != "ok":
+                continue
             metrics.resumed += 1
             self._finish(job, self._ok_record(
                 job, record["payload"], "resumed",
-                record.get("attempts", 1), 0.0), records, metrics)
+                record.get("attempts", 1), 0.0), records, metrics,
+                append=False)
 
         # content-addressed cache: hits never reach the pool
         for job in self.jobs:
@@ -462,7 +467,6 @@ class CampaignRunner:
                                 preempted=self._preempted,
                                 deadline_exceeded=self._deadline_hit)
         if self.store is not None:
-            self.store.rewrite(ordered)
             report.store_path = self.store.path
             if not self._preempted and not self._deadline_hit:
                 report.aggregate_path = self.store.write_aggregate(

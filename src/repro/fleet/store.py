@@ -2,7 +2,7 @@
 
 One line per completed job record, appended as jobs finish so a killed
 campaign leaves a valid prefix behind — that prefix is exactly what
-``--resume`` replays.  The file is a :class:`repro.durable.SealedLog`:
+``--resume`` picks up.  The file is a :class:`repro.durable.SealedLog`:
 appends are locked, flushed and fsynced, and every line carries a
 ``_crc32`` seal, so a torn tail from a SIGKILL *and* a bit-flipped line
 from a bad disk are both detected on load.  Damaged lines are
@@ -10,14 +10,18 @@ quarantined to ``campaign.jsonl.quarantine`` with a warning — never
 silently dropped, and never allowed to raise: every intact record after
 a damaged one is still recovered.
 
-The store is safe to *tail while a writer appends*: :meth:`ResultStore.
-tail` consumes only newline-terminated lines, so a reader polling a live
-campaign (the ``repro.serve`` result stream) never misreads an append in
-flight as damage — it just picks the record up on its next poll.
+The store is append-only for the whole life of a campaign directory: a
+fresh (non-resume) run starts it empty, a resumed run appends after the
+prior prefix (the first append cuts a killed writer's torn tail), and
+nothing ever reorders it, so records stay in completion order.  That is
+what makes the store safe to *tail while a writer appends*:
+:meth:`ResultStore.tail` consumes only newline-terminated lines, and an
+offset it returned stays valid for good, so a reader polling a live
+campaign (the ``repro.serve`` result stream and results pager) never
+misreads an append in flight as damage and never misses a record.
 
-At campaign end the orchestrator rewrites the file sorted by job id, and
-writes the separate ``aggregate.json`` artifact containing only the
-deterministic fields (no wall-clock, no attempt counts), which is the
+The sorted, deterministic artifact is the separate ``aggregate.json``
+(no wall-clock, no attempt counts, sorted by job id), which is the
 thing asserted byte-identical across worker counts — and across
 crash/resume cycles (see docs/checkpoint.md).
 """
@@ -40,7 +44,7 @@ QUARANTINE_SUFFIX = ".quarantine"
 
 
 class ResultStore:
-    """Append-oriented JSONL record log with atomic rewrite."""
+    """Append-only JSONL record log of one campaign directory."""
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
@@ -68,7 +72,7 @@ class ResultStore:
         The line is fsynced before returning, so a record the caller
         believes is stored survives an immediate process kill; the worst
         a crash can leave is one torn final line, which :meth:`load`
-        detects.
+        skips and the next append cuts.
 
         ``fence`` is the stale-claim guard for multi-node execution: a
         callable invoked *inside* the store lock, before any byte is
@@ -84,12 +88,13 @@ class ResultStore:
 
         A corrupt *complete* line (newline-terminated but failing its CRC
         or JSON parse) is quarantined: warn, copy the raw line to the
-        quarantine file, keep scanning — records after the damage are not
-        lost.  An *unterminated* final fragment is either an append in
-        flight on a live writer or a torn tail from a kill mid-append,
-        and in both cases the writer may still complete it — so it is
-        skipped with a warning, never quarantined, and left in the file
-        for the next reader.
+        quarantine file unless it already holds that line, keep scanning
+        — records after the damage are not lost, and repeated loads of
+        one store do not grow the quarantine file.  An *unterminated*
+        final fragment is either an append in flight on a live writer or
+        a torn tail from a kill mid-append: it is skipped with a
+        warning, never quarantined, and left in the file — the writer
+        finishes it, or the next append cuts it.
         """
         records, damaged, _, torn = self.log.read()
         if torn:
@@ -98,21 +103,31 @@ class ResultStore:
                 f"partial tail line ({torn} bytes) — either an "
                 f"append in flight or a torn tail from a kill",
                 RuntimeWarning, stacklevel=2)
+        if damaged:
+            try:
+                with open(self.quarantine_path, encoding="utf-8") as handle:
+                    preserved = set(handle.read().split("\n"))
+            except FileNotFoundError:
+                preserved = set()
         for line, reason in damaged:
             warnings.warn(
                 f"result store {self.path}: skipping damaged record "
                 f"({reason}); preserved in {self.quarantine_path}",
                 RuntimeWarning, stacklevel=2)
-            with open(self.quarantine_path, "a") as handle:
-                handle.write(line + "\n")
+            if line not in preserved:
+                preserved.add(line)
+                with open(self.quarantine_path, "a",
+                          encoding="utf-8") as handle:
+                    handle.write(line + "\n")
         return records
 
     def tail(self, offset: int = 0) -> Tuple[List[Dict], int]:
         """Incrementally read records appended at or after byte ``offset``.
 
         The concurrent-tailer API: safe to call while a writer is
-        appending; see :meth:`repro.durable.SealedLog.read` for the
-        partial-line and rewritten-underneath rules.  Damaged complete
+        appending, and the returned offset stays valid for good; see
+        :meth:`repro.durable.SealedLog.read` for the partial-line and
+        record-boundary rules.  Damaged complete
         lines are skipped with a warning but never quarantined: a tailer
         is a read-only observer and must not race the writer (or other
         tailers) for the quarantine file.
@@ -127,7 +142,11 @@ class ResultStore:
         return records, next_offset
 
     def rewrite(self, records: Iterable[Dict]) -> None:
-        """Atomically replace the log with ``records`` (caller-sorted)."""
+        """Atomically replace the log with ``records``.
+
+        Public API only: no campaign path calls it, since the store of
+        a campaign directory is append-only (see the module docstring).
+        """
         self.log.rewrite(records)
 
     def clear(self) -> None:

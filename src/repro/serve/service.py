@@ -19,7 +19,7 @@ Execution model
   yield.  The orchestrator honors the request at the next checkpoint
   boundary (or job boundary), leaving the store prefix and the in-flight
   job's checkpoint on disk; the evicted campaign re-enters the queue and
-  later *resumes* — completed jobs replayed from the store, the
+  later *resumes* — completed jobs read back from the store, the
   interrupted job continued from its checkpoint, final artifacts
   byte-identical to an uninterrupted run (the PR5 guarantee, now a
   graceful-degradation story).
@@ -588,9 +588,6 @@ class CampaignService:
         self._journal_state(campaign, RUNNING)
         campaign.state = RUNNING
         campaign.yield_flag.clear()
-        # the store is cleared and completed records re-appended on every
-        # attempt, so the tailer restarts from byte 0 and dedups by job id
-        campaign.tail_offset = 0
         self._gauge_queue()
         campaign.emit("campaign.started", attempt=campaign.attempts,
                       resumed=campaign.attempts > 1)
@@ -612,10 +609,8 @@ class CampaignService:
                 await tailer
             except asyncio.CancelledError:
                 pass
-            # final, complete pass from byte 0: the runner's sorted
-            # rewrite may have moved records behind the tailer's offset
-            # (streamed_jobs drops the ones already sent)
-            campaign.tail_offset = 0
+            # the store is append-only, so the tailer's offset is still
+            # good: one last pass picks up what the final poll missed
             self._drain_results(campaign)
             self._running_campaigns.pop(campaign.campaign_id, None)
 
@@ -700,7 +695,7 @@ class CampaignService:
         for record in records:
             job_id = record.get("job_id")
             if job_id is None or job_id in campaign.streamed_jobs:
-                continue           # replayed on resume — already streamed
+                continue           # a cluster's benign double commit
             campaign.streamed_jobs.add(job_id)
             campaign.results_streamed += 1
             self.registry.get("repro_serve_results_streamed_total").inc()

@@ -10,7 +10,8 @@ the format documents (docs/architecture.md, "On-disk formats"):
   returns exactly what was written; it never returns anything else;
 * any truncation of a single-record file is rejected;
 * a JSONL log cut at any byte keeps every record before the cut and
-  skips the torn tail without quarantining it;
+  skips the torn tail without quarantining it; the next append cuts
+  that tail and lands intact;
 * two processes appending to the same log lose and tear no line.
 """
 
@@ -263,8 +264,13 @@ def test_log_line_bit_flip_is_contained(fmt, items, data):
 
 @pytest.mark.parametrize("fmt", sorted(LOGS))
 @settings(max_examples=40, deadline=None)
-@given(items=st.lists(bodies, min_size=1, max_size=4), data=st.data())
-def test_torn_log_tail_is_skipped_and_the_prefix_survives(fmt, items, data):
+@given(items=st.lists(bodies, min_size=1, max_size=4), extra=bodies,
+       data=st.data())
+def test_torn_log_tail_is_skipped_and_the_prefix_survives(fmt, items, extra,
+                                                          data):
+    """A kill mid-append leaves a torn tail: readers skip it, and the
+    next append (a resumed or surviving writer) cuts it instead of
+    merging its own line into it."""
     with tempfile.TemporaryDirectory() as directory:
         path, append, read = LOGS[fmt](directory)
         records = _records(items)
@@ -274,9 +280,15 @@ def test_torn_log_tail_is_skipped_and_the_prefix_survives(fmt, items, data):
             sealed = handle.read()
         keep = data.draw(st.integers(0, len(sealed)))
         _rewrite(path, sealed[:keep])
+        prefix = records[:sealed[:keep].count(b"\n")]
         loaded, damaged = read()
-        assert loaded == records[:sealed[:keep].count(b"\n")]
+        assert loaded == prefix
         assert damaged == 0                   # torn is not damaged
+        new = {"op": "state", "job_id": "job-new", "body": extra}
+        append(dict(new))
+        loaded, damaged = read()
+        assert loaded == prefix + [new]
+        assert damaged == 0
 
 
 # -- concurrent writers -------------------------------------------------------

@@ -123,6 +123,33 @@ def test_resume_after_kill(baseline, tmp_path):
         assert a.read() == b.read()
 
 
+def test_resume_appends_after_the_prior_prefix(baseline, tmp_path):
+    """Resume keeps the store append-only: the prior prefix's bytes stay
+    as they were, the torn tail is cut by the first new append, and the
+    result holds one intact record per job."""
+    import warnings
+    from repro.fleet import ResultStore
+    _, report = baseline
+    campaign_dir = tmp_path / "killed"
+    campaign_dir.mkdir()
+    store_path = campaign_dir / "campaign.jsonl"
+    with open(report.store_path) as handle:
+        lines = handle.readlines()
+    store_path.write_text(lines[0] + lines[1][:40])
+    with pytest.warns(RuntimeWarning, match="unterminated"):
+        resumed = run_campaign(make_jobs(), workers=0,
+                               campaign_dir=str(campaign_dir), resume=True)
+    assert resumed.metrics.resumed == 1
+    assert store_path.read_text().startswith(lines[0])
+    store = ResultStore(str(campaign_dir))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # no torn tail, no damage
+        records = store.load()
+    assert sorted(r["job_id"] for r in records) == \
+        sorted(job.job_id for job in make_jobs())
+    assert not os.path.exists(store.quarantine_path)
+
+
 def test_without_resume_everything_reruns(baseline, tmp_path):
     _, report = baseline
     campaign_dir = tmp_path / "cold"
@@ -224,6 +251,22 @@ def test_store_append_and_rewrite_roundtrip(tmp_path):
     assert store.load() == []
 
 
+def test_store_quarantines_a_damaged_line_once(tmp_path):
+    """Every load warns about the damage, but the quarantine file keeps
+    one copy of the line however often the store is loaded."""
+    from repro.fleet import ResultStore
+    store = ResultStore(str(tmp_path))
+    store.append({"job_id": "a"})
+    with open(store.path, "a") as handle:
+        handle.write('{"job_id": "b", "_crc32": 1}\n')
+    store.append({"job_id": "c"})
+    for _ in range(3):
+        with pytest.warns(RuntimeWarning, match="damaged record"):
+            assert [r["job_id"] for r in store.load()] == ["a", "c"]
+    with open(store.quarantine_path) as handle:
+        assert handle.read().splitlines() == ['{"job_id": "b", "_crc32": 1}']
+
+
 # -- concurrent tailing (the serve-layer streaming contract) -----------------
 def test_store_tail_incremental(tmp_path):
     from repro.fleet import ResultStore
@@ -307,9 +350,10 @@ def test_store_tail_holds_position_on_shrink(tmp_path):
 def test_store_tail_holds_position_on_same_size_rewrite(tmp_path):
     """A rewrite that does NOT shrink the file must not desync the tailer.
 
-    Cluster finalization rewrites the store with the same records sorted
-    by job id — roughly the same byte count — so a tailer's offset can
-    land mid-line in the new content.  The tailer must detect the lost
+    A rewrite with the same records in another order (no campaign path
+    does this; ``ResultStore.rewrite`` is public) keeps the byte count,
+    so a tailer's offset can land mid-line in the new content.  The
+    tailer must detect the lost
     record boundary (the byte before its offset is no longer a newline)
     and hold position silently instead of warning about "damage" it
     manufactured itself.
@@ -321,7 +365,7 @@ def test_store_tail_holds_position_on_same_size_rewrite(tmp_path):
         store.append({"job_id": job_id, "payload": {"ipc": 0.5}})
     records, _ = store.tail(0)
     assert len(records) == 3
-    # a finalize-style rewrite happens under the tailer: same records,
+    # a reordering rewrite happens under the tailer: same records,
     # sorted — the byte count barely moves but every boundary shifts
     store.rewrite(sorted((r for r in store.load()),
                          key=lambda r: r["job_id"]))

@@ -117,7 +117,7 @@ def test_recovered_interrupted_campaign_resumes_byte_identical(tmp_path):
 
     The journal says "running, attempt 1"; recovery re-queues it with
     that attempt count, so the next dispatch takes the resume path —
-    completed jobs replayed from the store prefix — and the final
+    completed jobs read back from the store prefix — and the final
     aggregate is byte-identical to an uninterrupted offline run.
     """
     root = tmp_path / "serve"

@@ -8,14 +8,11 @@ run offline through ``repro.fleet.run_campaign``.
 
 import asyncio
 import json
-import threading
-import time
 
 import pytest
 
 from repro.errors import QuotaExceeded
-from repro.fleet import CampaignSpec, run_campaign
-from repro.fleet.orchestrator import CampaignReport
+from repro.fleet import CampaignSpec, jobs_for, run_campaign
 from repro.serve import CampaignService, QuotaManager, TenantPolicy
 
 SMALL = {"count": 2, "cycles": 8_000, "seed": 9}
@@ -220,49 +217,87 @@ def test_weighted_tenant_gets_more_slots_over_time(tmp_path):
     run(main())
 
 
-def test_final_drain_streams_records_the_sorted_rewrite_moved(tmp_path):
-    """job-b is appended and streamed, then job-a is appended and the
-    runner's end-of-campaign rewrite sorts job-a in front of job-b — so
-    the tailer's offset no longer points past job-a.  The final drain
-    must still stream job-a, and every job's result exactly once."""
+#: a 2-job campaign whose first record (run order) is the larger job id
+OUT_OF_ORDER = {"count": 2, "cycles": 8_000, "seed": 3}
+
+
+def test_evicted_campaign_streams_each_result_once(tmp_path, monkeypatch):
+    """A real eviction between the two jobs of a campaign: the first
+    job's record is streamed before the eviction, the second after the
+    resume, and each ``job.result`` exactly once."""
+    from repro.fleet import orchestrator
+    real_run_shard = orchestrator.run_shard
+
     async def main():
         service = CampaignService(root=str(tmp_path / "serve"),
                                   quota=open_quota(), slots=1)
         loop = asyncio.get_running_loop()
+        shards = []
 
-        def run_out_of_order(campaign):
-            store = campaign.store
-            b = {"job_id": "job-b", "status": "ok", "digest": "b",
-                 "job": {}, "payload": {"ipc": 1}}
-            a = {"job_id": "job-a", "status": "ok", "digest": "a",
-                 "job": {}, "payload": {"ipc": 22}}
-            store.append(b)
-            while campaign.tail_offset == 0:     # until job-b is streamed
-                time.sleep(0.01)
-            rewritten = threading.Event()
+        def run_shard(jobs, attempt, fault_plan, checkpoint, should_yield,
+                      **kwargs):
+            # before the victim's second shard of its first dispatch,
+            # submit higher-priority work and wait for the scheduler to
+            # ask the victim to yield — so it is evicted at that boundary
+            if getattr(should_yield, "__self__", None) is low.yield_flag:
+                shards.append(jobs)
+                if len(shards) == 2:
+                    loop.call_soon_threadsafe(
+                        service.submit, "t2", dict(SMALL, priority=5))
+                    assert low.yield_flag.wait(30)
+            return real_run_shard(jobs, attempt, fault_plan, checkpoint,
+                                  should_yield, **kwargs)
 
-            def append_then_rewrite():
-                # on the loop thread, so no tailer poll lands in between
-                store.append(a)
-                store.rewrite([a, b])
-                rewritten.set()
-            loop.call_soon_threadsafe(append_then_rewrite)
-            assert rewritten.wait(30)
-            return CampaignReport(
-                records=[a, b], store_path=store.path,
-                aggregate_path=store.write_aggregate([a, b], []))
-
-        service._run_blocking = run_out_of_order
+        monkeypatch.setattr(orchestrator, "run_shard", run_shard)
         await service.start()
         try:
-            campaign = service.submit("t1", dict(SMALL))
-            await wait_for(lambda: campaign.state == "completed")
+            low = service.submit("t1", dict(OUT_OF_ORDER, priority=0))
+            await wait_for(lambda: low.state == "completed")
         finally:
             await service.stop()
-        return campaign
-    campaign = run(main())
-    events, _ = campaign.buffer.since(0)
+        return low
+    low = run(main())
+    assert low.evictions == 1 and low.attempts == 2
+    events, _ = low.buffer.since(0)
+    names = [name for _, name, _ in events]
+    assert names.index("job.result") < names.index("campaign.evicted")
     streamed = [json.loads(data)["job_id"] for _, name, data in events
                 if name == "job.result"]
-    assert sorted(streamed) == ["job-a", "job-b"]
-    assert campaign.results_streamed == 2
+    assert len(streamed) == len(set(streamed)) == low.jobs_total == 2
+    assert low.results_streamed == low.jobs_total
+
+
+def test_results_pager_returns_every_job_once(tmp_path):
+    """A client pages ``results_page`` from 0, following ``next_offset``,
+    while an evicted campaign resumes: every job comes back exactly once,
+    although the store's append order is not job-id order."""
+    async def main():
+        service = CampaignService(root=str(tmp_path / "serve"),
+                                  quota=open_quota())
+        campaign = service.submit("t1", dict(OUT_OF_ORDER))
+        jobs = jobs_for(CampaignSpec(**OUT_OF_ORDER))
+        paged, offset = [], 0
+
+        def page():
+            nonlocal offset
+            result = service.results_page(campaign, offset)
+            paged.extend(r["job_id"] for r in result["records"])
+            offset = result["next_offset"]
+            return result["records"]
+
+        checks = []
+        first = run_campaign(
+            CampaignSpec(**OUT_OF_ORDER), workers=0,
+            campaign_dir=campaign.directory,
+            should_yield=lambda: checks.append(1) or len(checks) > 1)
+        assert first.preempted and len(first.records) == 1
+        page()
+        assert paged[0] != min(job.job_id for job in jobs)
+        run_campaign(CampaignSpec(**OUT_OF_ORDER), workers=0,
+                     campaign_dir=campaign.directory, resume=True)
+        while page():
+            pass
+        await service.stop()
+        return jobs, paged
+    jobs, paged = run(main())
+    assert sorted(paged) == sorted(job.job_id for job in jobs)
